@@ -218,3 +218,27 @@ func TestAblationsRun(t *testing.T) {
 		t.Errorf("format: %s", out)
 	}
 }
+
+// TestStagingLaneBaselineIsOneCopy checks the staging-lane A/B at small
+// scale: the serialized baseline (files-per-COPY above the file count) lands
+// everything in exactly one COPY batch after acquisition drains, while the
+// default lane issues several incremental batches.
+func TestStagingLaneBaselineIsOneCopy(t *testing.T) {
+	rows, err := StagingLane(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("staging lane rows: %d, want baseline and overlapped", len(rows))
+	}
+	base, lane := rows[0], rows[1]
+	if base.CopyBatches != 1 {
+		t.Errorf("baseline landed %d COPY batches over %d files, want 1", base.CopyBatches, base.Times.Files)
+	}
+	if lane.CopyBatches <= 1 {
+		t.Errorf("overlapped lane landed %d COPY batches over %d files, want more than 1", lane.CopyBatches, lane.Times.Files)
+	}
+	if out := FormatStagingLane(rows); !strings.Contains(out, "overlap saves") {
+		t.Errorf("format: %s", out)
+	}
+}

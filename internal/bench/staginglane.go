@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -10,10 +11,9 @@ import (
 )
 
 // StagingLaneRow is one configuration of the staging-lane comparison: the
-// serialized baseline (one monolithic COPY after acquisition drains), the
+// serialized baseline (one manifest COPY after acquisition drains) and the
 // overlapped copy scheduler (incremental manifest COPYs while acquisition
-// runs), and the overlapped lane with the adaptive tuner closed over its
-// knobs.
+// runs).
 type StagingLaneRow struct {
 	Name        string
 	Times       PhaseTimes
@@ -43,7 +43,9 @@ func stagingLaneConfig(scale int, node core.Config) RunConfig {
 
 // StagingLane runs the overlapped-vs-serialized comparison behind the
 // staging-lane optimization: identical workload and stack, with only the
-// copy-scheduler and tuner toggles varied.
+// files-per-COPY setting varied. The baseline sets it above any job's file
+// count, so the scheduler holds every file until acquisition drains and
+// lands them in one COPY.
 func StagingLane(scale int) ([]StagingLaneRow, error) {
 	if scale <= 0 {
 		scale = RowsPerPaperMillion
@@ -52,9 +54,8 @@ func StagingLane(scale int) ([]StagingLaneRow, error) {
 		name string
 		node core.Config
 	}{
-		{"serialized COPY after drain (baseline)", core.Config{SerializedCopy: true}},
+		{"serialized COPY after drain (baseline)", core.Config{CopyBatchFiles: math.MaxInt32}},
 		{"overlapped incremental COPY", core.Config{}},
-		{"overlapped + adaptive tuner", core.Config{AdaptiveStaging: true, TunerInterval: 50 * time.Millisecond}},
 	}
 	var out []StagingLaneRow
 	for _, m := range modes {

@@ -8,14 +8,12 @@ import (
 	"etlvirt/internal/sqlparse"
 )
 
-// allocJob builds the minimal importJob shape copySQL reads: the staging
-// table name, the object-store prefix, and the node config the gzip option
-// comes from.
-func allocJob() *importJob {
-	return &importJob{
-		stage:  sqlparse.TableName{Schema: "etlvirt_stage", Name: "job42"},
-		keyPfx: "job42/",
-		node:   &Node{cfg: Config{}.withDefaults()},
+// allocLane builds the minimal stagingLane shape copySQL reads: the staging
+// table name and the object-store prefix.
+func allocLane() *stagingLane {
+	return &stagingLane{
+		table:  sqlparse.TableName{Schema: "etlvirt_stage", Name: "job42"},
+		prefix: "job42/",
 	}
 }
 
@@ -69,7 +67,7 @@ func TestTakeBatchClamping(t *testing.T) {
 // manifest COPY statement — the per-batch cost the scheduler pays on every
 // issue while acquisition is running.
 func TestCopyManifestSQLAllocBound(t *testing.T) {
-	j := allocJob()
+	j := allocLane()
 	files := manifestFiles(16)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := j.copySQL(files); err != nil {
@@ -82,12 +80,11 @@ func TestCopyManifestSQLAllocBound(t *testing.T) {
 	}
 }
 
-// TestCopySQLManifestShape pins the statement the scheduler issues: explicit
+// TestCopySQLManifestShape pins the statement the lane issues: explicit
 // FILES manifest, ordered format options, and no statement-level gzip (the
 // engine sniffs per-file .gz suffixes on manifest COPYs).
 func TestCopySQLManifestShape(t *testing.T) {
-	j := allocJob()
-	j.node.cfg.Gzip = true
+	j := allocLane()
 	sql, err := j.copySQL([]string{"a.csv.gz", "b.csv.gz"})
 	if err != nil {
 		t.Fatal(err)
@@ -99,13 +96,6 @@ func TestCopySQLManifestShape(t *testing.T) {
 	}
 	if strings.Contains(strings.ToLower(sql), "gzip") {
 		t.Errorf("manifest COPY %q should rely on per-file suffixes, not a gzip option", sql)
-	}
-	sweep, err := j.copySQL(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.ToLower(sweep), "gzip") {
-		t.Errorf("prefix COPY %q should keep the statement-level gzip option", sweep)
 	}
 }
 
@@ -124,24 +114,12 @@ func BenchmarkTakeBatch(b *testing.B) {
 // BenchmarkCopyManifestSQL measures building the incremental COPY statement
 // for one 16-file batch.
 func BenchmarkCopyManifestSQL(b *testing.B) {
-	j := allocJob()
+	j := allocLane()
 	files := manifestFiles(16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := j.copySQL(files); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStaticGzipLevel keeps the knob mapping on the scheduler's control
-// path honest — it runs on every tuner tick.
-func BenchmarkStaticGzipLevel(b *testing.B) {
-	cfgs := []Config{{}, {Gzip: true}, {Gzip: true, GzipLevel: 9}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cfgs {
-			_ = staticGzipLevel(c)
 		}
 	}
 }

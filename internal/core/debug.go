@@ -35,10 +35,6 @@ type ActiveJob struct {
 	CopyBatches   int64 `json:"copy_batches,omitempty"`
 	CopyQueue     int64 `json:"copy_queue_files,omitempty"`
 
-	// Tuning is the adaptive staging-lane tuner's live state; absent when
-	// the job runs with static knobs.
-	Tuning *TuningStatus `json:"tuning,omitempty"`
-
 	// application progress
 	Statements int64 `json:"statements_applied,omitempty"`
 	ErrorsET   int64 `json:"errors_et,omitempty"`
@@ -54,23 +50,6 @@ type ActiveJob struct {
 	Batches   int64 `json:"batches_committed,omitempty"`
 	Watermark int64 `json:"watermark,omitempty"`
 	BatchHint int64 `json:"batch_hint,omitempty"`
-}
-
-// TuningStatus is the per-job view of the adaptive staging-lane tuner: the
-// current knob geometry, the smoothed observations driving it, and the
-// decision counts since the job started.
-type TuningStatus struct {
-	Workers        int     `json:"workers"`
-	SpoolBytes     int     `json:"spool_bytes"`
-	GzipLevel      int     `json:"gzip_level"`
-	CopyFiles      int     `json:"copy_files"`
-	UtilizationPct float64 `json:"utilization_pct"`
-	FileLatencyMS  int64   `json:"file_latency_ms"`
-	QueueDepth     float64 `json:"queue_depth"`
-	Dominant       string  `json:"dominant_stage,omitempty"`
-	Grows          uint64  `json:"grows"`
-	Shrinks        uint64  `json:"shrinks"`
-	Holds          uint64  `json:"holds"`
 }
 
 // StreamStatus is one stream's row in the /streams debug view: watermark
@@ -198,7 +177,6 @@ func (n *Node) ActiveJobs() []ActiveJob {
 			CreditsHeld:   j.creditsHeld.Load(),
 			CopyBatches:   j.batchesN.Load(),
 			CopyQueue:     j.copyQueue.Load(),
-			Tuning:        j.tuningStatus(),
 			Statements:    j.stmts.Load(),
 			ErrorsET:      j.errsETLive.Load(),
 			ErrorsUV:      j.errsUVLive.Load(),

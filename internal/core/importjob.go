@@ -19,7 +19,6 @@ import (
 	"etlvirt/internal/retrier"
 	"etlvirt/internal/sqlparse"
 	"etlvirt/internal/sqlxlate"
-	"etlvirt/internal/tune"
 	"etlvirt/internal/wire"
 )
 
@@ -46,8 +45,8 @@ type writeTask struct {
 // importJob is the state of one virtualized import. Its pipeline mirrors
 // Figure 2(a): session handlers feed DataConverter workers through convCh,
 // converters feed FileWriter goroutines, writers hand finished files to
-// upload workers, and the final COPY moves everything into the staging
-// table.
+// upload workers, and the copy scheduler lands uploaded files in the staging
+// table through the job's staging lane in manifest COPY batches.
 type importJob struct {
 	id   uint64
 	node *Node
@@ -68,35 +67,13 @@ type importJob struct {
 	writeWG  sync.WaitGroup
 	uploadWG sync.WaitGroup
 
-	// copy scheduler (incremental manifest COPY while acquisition runs)
-	copyableCh chan string // uploaded object names ready to COPY; nil = serialized
+	// copy scheduler (incremental manifest COPY while acquisition runs); the
+	// lane is used by the scheduler, then by finishAcquisition once it joins
+	lane       *stagingLane
+	copyableCh chan string // uploaded object names ready to COPY
 	schedWG    sync.WaitGroup
-	landed     []copyBatch // manifest batches COPYed into staging; scheduler-then-finisher owned
-	stagedN    int64       // rows landed across batches; same ownership as landed
 	copyQueue  atomic.Int64
 	batchesN   atomic.Int64 // incremental COPY batches issued (live, for debug)
-
-	// dynamic uploader pool
-	upMu     sync.Mutex
-	upLive   int  // uploader goroutines currently running
-	upClosed bool // uploadCh closed; no more resizing
-	upQuit   chan struct{}
-	upSeq    atomic.Int64
-
-	// adaptive staging-lane tuner; nil when AdaptiveStaging is off. The knob
-	// atomics are the tuner's outputs, polled by writers and the scheduler.
-	tuner        *tune.ImportTuner
-	tunerStop    chan struct{}
-	tunerWG      sync.WaitGroup
-	tuneMu       sync.Mutex
-	tuneSnap     tune.ImportSnapshot
-	spoolBytesN  atomic.Int64
-	gzipLevelN   atomic.Int64 // 0 = uncompressed
-	copyFilesN   atomic.Int64
-	spoolBusyNs  atomic.Int64 // FileWriter busy time (append + rotate + gzip)
-	upBusyNs     atomic.Int64 // uploader busy time
-	fileLatNs    atomic.Int64 // summed per-file upload latency
-	fileLatCount atomic.Int64
 
 	// pending counts chunks acknowledged but not yet handed to convCh.
 	pending sync.WaitGroup
@@ -176,36 +153,20 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	}
 
 	// create staging and error tables
-	ddl, err := sqlxlate.StagingDDL(j.stage, m.Layout)
+	j.lane, err = newStagingLane(n, j.trace, "stage", j.stage, m.Layout, j.keyPfx)
 	if err != nil {
 		// The job trace is already open; settle it or the span leaks and
 		// the SLO report under-counts failed setups forever.
 		n.tracer.Finish(id)
 		return nil, err
 	}
-	stmts := []string{
-		dropIfExists(j.stage), ddl,
-	}
-	for _, et := range []sqlparse.TableName{j.etName, j.uvName} {
-		if et.Name == "" {
-			continue
-		}
-		etDDL, err := sqlxlate.ErrorTableDDL(et)
-		if err != nil {
-			n.tracer.Finish(id)
-			return nil, err
-		}
-		stmts = append(stmts, dropIfExists(et), etDDL)
-	}
-	for _, s := range stmts {
-		if _, err := n.pool.ExecT(s, j.trace.ChildContext()); err != nil {
-			n.events.Add(obs.Event{
-				Type: "job_fail", Job: id, TraceID: j.traceID(),
-				Msg: "preparing job tables", Attrs: map[string]any{"err": err.Error()},
-			})
-			n.tracer.Finish(id)
-			return nil, fmt.Errorf("preparing job tables: %w", err)
-		}
+	if err := j.prepareTables(); err != nil {
+		n.events.Add(obs.Event{
+			Type: "job_fail", Job: id, TraceID: j.traceID(),
+			Msg: "preparing job tables", Attrs: map[string]any{"err": err.Error()},
+		})
+		n.tracer.Finish(id)
+		return nil, fmt.Errorf("preparing job tables: %w", err)
 	}
 	j.trace.Span("setup", "session", setupStart, 0, 0, nil)
 
@@ -225,32 +186,11 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	} else {
 		j.osDir = cfg.SpoolDir
 	}
-	// Knob atomics seed from the static config; the tuner (when on) retunes
-	// them each tick and the stage goroutines poll them.
-	j.spoolBytesN.Store(int64(cfg.FileSizeThreshold))
-	j.gzipLevelN.Store(int64(staticGzipLevel(cfg)))
-	j.copyFilesN.Store(int64(cfg.CopyBatchFiles))
-	j.upQuit = make(chan struct{}, 64)
-	if !cfg.SerializedCopy {
-		j.copyableCh = make(chan string, cfg.FileWriters*4)
-		j.schedWG.Add(1)
-		// Bounded by the upload stage: drainPipeline closes copyableCh after
-		// the uploaders exit, which ends the scheduler loop.
-		go j.runCopyScheduler() //nolint:goroleak // job-bounded; drainPipeline closes copyableCh
-	}
-	if cfg.AdaptiveStaging {
-		j.tuner = tune.NewImportTuner(tune.ImportConfig{
-			InitialWorkers:    cfg.UploadParallelism,
-			InitialSpoolBytes: cfg.FileSizeThreshold,
-			InitialCopyFiles:  cfg.CopyBatchFiles,
-			InitialGzipLevel:  staticGzipLevel(cfg),
-		})
-		j.tuneSnap = j.tuner.Snapshot()
-		j.tunerStop = make(chan struct{})
-		j.tunerWG.Add(1)
-		// Bounded by the job: drainPipeline closes tunerStop first.
-		go j.runTuner(cfg.TunerInterval) //nolint:goroleak // job-bounded; drainPipeline closes tunerStop
-	}
+	j.copyableCh = make(chan string, cfg.FileWriters*4)
+	j.schedWG.Add(1)
+	// Bounded by the upload stage: drainPipeline closes copyableCh after
+	// the uploaders exit, which ends the scheduler loop.
+	go j.runCopyScheduler() //nolint:goroleak // job-bounded; drainPipeline closes copyableCh
 	for w := 0; w < cfg.FileWriters; w++ {
 		ch := make(chan writeTask, 2)
 		j.writeChs = append(j.writeChs, ch)
@@ -262,8 +202,6 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 		go j.runConverter(i)
 	}
 	for u := 0; u < cfg.UploadParallelism; u++ {
-		j.upLive++
-		j.upSeq.Store(int64(u))
 		j.uploadWG.Add(1)
 		go j.runUploader(u)
 	}
@@ -272,6 +210,30 @@ func (n *Node) newImportJob(m *wire.BeginLoad, tc obs.TraceContext) (*importJob,
 	n.imports[id] = j
 	n.mu.Unlock()
 	return j, nil
+}
+
+// prepareTables creates the job's empty staging table and recreates its
+// error tables. Setup DDL is not retried beyond the pool's own NotSent
+// retries: a failure here fails the job before any data moves.
+func (j *importJob) prepareTables() error {
+	if err := j.lane.recreate(); err != nil {
+		return err
+	}
+	for _, et := range []sqlparse.TableName{j.etName, j.uvName} {
+		if et.Name == "" {
+			continue
+		}
+		ddl, err := sqlxlate.ErrorTableDDL(et)
+		if err != nil {
+			return err
+		}
+		for _, sql := range []string{dropIfExists(et), ddl} {
+			if _, err := j.node.pool.ExecT(sql, j.trace.ChildContext()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func dropIfExists(tn sqlparse.TableName) string {
@@ -440,15 +402,6 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 		},
 	})
 	for task := range ch {
-		if j.tuner != nil {
-			// Adopt the tuner's current spool geometry; threshold changes act
-			// on the in-progress file, codec changes at its next open.
-			if v := int(j.spoolBytesN.Load()); v > 0 {
-				w.SetSizeThreshold(v)
-			}
-			lvl := int(j.gzipLevelN.Load())
-			w.SetGzip(lvl > 0, lvl)
-		}
 		// The credit returns to the pool just before the data is written to
 		// disk (§5, Figure 4).
 		j.releaseCredit(task.credit)
@@ -460,7 +413,6 @@ func (j *importJob) runFileWriter(idx int, ch chan writeTask) {
 		// captured above: after putBuf the pool may recycle the buffer into
 		// another chunk, so task.csv must not be touched again.
 		putBuf(task.csv)
-		j.spoolBusyNs.Add(int64(time.Since(writeStart)))
 		j.trace.Span("write", lane, writeStart, int64(task.rows), csvBytes, err)
 		if task.done != nil {
 			close(task.done)
@@ -487,33 +439,7 @@ func (j *importJob) runUploader(idx int) {
 	defer j.uploadWG.Done()
 	nm := j.node.nm
 	lane := fmt.Sprintf("upload-%d", idx)
-	for {
-		var f fwriter.FinishedFile
-		select {
-		case <-j.upQuit:
-			// Tuner-driven shrink: retire this worker unless it is the last
-			// one (the pool never drops below one live uploader). The
-			// decrement happens under the same lock as the decision so two
-			// workers racing on stale tokens cannot both retire past the
-			// floor.
-			j.upMu.Lock()
-			if j.upLive > 1 {
-				j.upLive--
-				j.upMu.Unlock()
-				return
-			}
-			j.upMu.Unlock()
-			continue
-		case got, ok := <-j.uploadCh:
-			if !ok {
-				j.upMu.Lock()
-				j.upLive--
-				j.upMu.Unlock()
-				return
-			}
-			f = got
-		}
-		key := j.keyPfx + f.Name
+	for f := range j.uploadCh {
 		upStart := time.Now()
 		var err error
 		var n int64
@@ -523,27 +449,17 @@ func (j *importJob) runUploader(idx int) {
 				j.fail(fmt.Errorf("finished file %s missing from spool", f.Name))
 				continue
 			}
-			// Puts are idempotent (same key, same bytes), so transient store
-			// failures are retried whole-file.
-			err = j.node.retry.Do(j.node.ctx, "upload", func() error {
-				var uerr error
-				n, uerr = j.node.loader.UploadBytes(data, key)
-				return uerr
+			n, err = j.lane.upload(f.Name, func(key string) (int64, error) {
+				return j.node.loader.UploadBytes(data, key)
 			})
 			j.memfs.Remove(f.Name)
 		} else {
 			path := j.osDir + "/" + f.Name
-			err = j.node.retry.Do(j.node.ctx, "upload", func() error {
-				var uerr error
-				n, uerr = j.node.loader.UploadFile(path, key)
-				return uerr
+			n, err = j.lane.upload(f.Name, func(key string) (int64, error) {
+				return j.node.loader.UploadFile(path, key)
 			})
 		}
-		upDur := time.Since(upStart)
-		nm.uploadLat.ObserveDuration(upDur)
-		j.upBusyNs.Add(int64(upDur))
-		j.fileLatNs.Add(int64(upDur))
-		j.fileLatCount.Add(1)
+		nm.uploadLat.ObserveDuration(time.Since(upStart))
 		j.trace.Span("upload", lane, upStart, int64(f.Rows), n, err)
 		if err != nil {
 			j.fail(fmt.Errorf("uploading %s: %w", f.Name, err))
@@ -553,14 +469,11 @@ func (j *importJob) runUploader(idx int) {
 		j.upBytes.Add(n)
 		nm.filesUploaded.Inc()
 		nm.bytesUploaded.Add(n)
-		if j.copyableCh != nil {
-			// Hand the landed object to the copy scheduler; the send blocks
-			// only while a COPY batch is in flight, which is the lane's
-			// natural back-pressure.
-			landed := f.Name
-			j.copyQueue.Add(1)
-			j.copyableCh <- landed
-		}
+		// Hand the landed object to the copy scheduler; the send blocks only
+		// while a COPY batch is in flight, which is the lane's natural
+		// back-pressure.
+		j.copyQueue.Add(1)
+		j.copyableCh <- f.Name
 	}
 }
 
@@ -577,17 +490,10 @@ func (j *importJob) finishAcquisition() (*wire.AcquireDone, error) {
 		return nil, err
 	}
 
-	if j.copyableCh == nil {
-		// Serialized ablation: everything lands in one monolithic prefix COPY
-		// now that the pipeline has drained.
-		if _, err := j.copyWithRecovery(nil); err != nil {
-			return nil, fmt.Errorf("COPY into staging failed: %w", err)
-		}
-	}
-	// In scheduler mode every uploaded file has passed through the copy
-	// scheduler by now (drainPipeline joins it after the uploaders), so
-	// stagedN already covers the barrier sweep.
-	if staged := j.stagedN; staged != j.rowsConv.Load() {
+	// Every uploaded file has passed through the copy scheduler by now
+	// (drainPipeline joins it after the uploaders), so the lane's staged
+	// count already covers the barrier sweep.
+	if staged := j.lane.staged; staged != j.rowsConv.Load() {
 		return nil, fmt.Errorf("staging row count %d does not match converted %d", staged, j.rowsConv.Load())
 	}
 
@@ -604,114 +510,6 @@ func (j *importJob) finishAcquisition() (*wire.AcquireDone, error) {
 	return j.acquireReply(), nil
 }
 
-// copyBatch is one landed staging COPY: the manifest (object names relative
-// to the job's upload prefix; nil for a whole-prefix COPY) and the row count
-// the COPY reported.
-type copyBatch struct {
-	files []string
-	rows  int64
-}
-
-// copySQL renders the staging COPY for one manifest. A nil manifest copies
-// the whole upload prefix (the serialized path); manifest COPYs rely on the
-// engine's per-file .gz suffix detection, since a manifest may mix
-// compression levels when the tuner moves the gzip ladder mid-job.
-func (j *importJob) copySQL(files []string) (string, error) {
-	st := &sqlparse.CopyStmt{
-		Table:   j.stage,
-		From:    "store://" + j.keyPfx,
-		Files:   files,
-		Options: map[string]string{"format": "csv", "order": sqlxlate.SeqColumn},
-	}
-	if files == nil && j.node.cfg.Gzip {
-		st.Options["gzip"] = "true"
-	}
-	return sqlparse.Print(st, sqlparse.DialectCDW)
-}
-
-// copyWithRecovery lands one COPY batch (a file manifest, or the whole
-// prefix when files is nil) under the node's retry policy. Transient
-// transport failures are already retried inside the pool; this layer
-// additionally recovers engine-side COPY failures (the CDW reading a faulted
-// object store) by recreating the staging table before re-running the
-// statement — and, with incremental batches, replaying every batch that
-// already landed so the recreated table holds exactly what it held before
-// the failing attempt. Each landed batch is recorded once, so recovery
-// replays are exactly-once regardless of how many attempts it takes. Engine
-// errors other than CodeCopyFailed surface immediately.
-//
-// Only one goroutine issues COPYs at a time (the scheduler during
-// acquisition, finishAcquisition after it joins), so landed/stagedN need no
-// lock.
-func (j *importJob) copyWithRecovery(files []string) (int64, error) {
-	nm := j.node.nm
-	var staged int64
-	attempt := 0
-	r := *j.node.retry // shares Budget/observers; only Retryable differs
-	r.Retryable = func(err error) bool {
-		if retrier.IsTransient(err) {
-			return true
-		}
-		var ce *cdw.Error
-		return errors.As(err, &ce) && ce.Code == cdw.CodeCopyFailed
-	}
-	// COPY is made idempotent by the recovery step above each re-attempt
-	// (drop + recreate staging + replay landed batches), so retrying Exec
-	// here cannot double-apply.
-	err := r.Do(j.node.ctx, "copy", func() error { //nolint:retrysafe // COPY re-runs against a recreated staging table
-		attempt++
-		if attempt > 1 {
-			// recovery point: wipe any partial staging state, then rebuild it
-			// from the landed-batch log before re-running this batch
-			recStart := time.Now()
-			nm.copyRecoveries.Inc()
-			if _, err := j.node.pool.ExecT(dropIfExists(j.stage), j.trace.ChildContext()); err != nil {
-				return err
-			}
-			ddl, err := sqlxlate.StagingDDL(j.stage, j.req.Layout)
-			if err != nil {
-				return err
-			}
-			if _, err := j.node.pool.ExecT(ddl, j.trace.ChildContext()); err != nil {
-				return err
-			}
-			for i := range j.landed {
-				b := &j.landed[i]
-				sql, err := j.copySQL(b.files)
-				if err != nil {
-					return err
-				}
-				rows, err := j.node.pool.ExecT(sql, j.trace.ChildContext())
-				if err != nil {
-					return err
-				}
-				nm.copyReplays.Inc()
-				if rows != b.rows {
-					return fmt.Errorf("replaying COPY batch landed %d rows, originally %d", rows, b.rows)
-				}
-			}
-			j.trace.Span("copy_retry", "stage", recStart, 0, 0, nil)
-		}
-		sql, err := j.copySQL(files)
-		if err != nil {
-			return err
-		}
-		copyStart := time.Now()
-		staged, err = j.node.pool.ExecT(sql, j.trace.ChildContext())
-		nm.copyStatements.Inc()
-		j.trace.Span("copy", "stage", copyStart, staged, j.upBytes.Load(), err)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	if files != nil {
-		j.landed = append(j.landed, copyBatch{files: files, rows: staged})
-	}
-	j.stagedN += staged
-	return staged, err
-}
-
 func (j *importJob) acquireReply() *wire.AcquireDone {
 	return &wire.AcquireDone{
 		JobID:      j.id,
@@ -724,12 +522,6 @@ func (j *importJob) acquireReply() *wire.AcquireDone {
 // them to exit. Idempotent; safe after a client disconnect.
 func (j *importJob) drainPipeline() {
 	j.drain.Do(func() {
-		// Stop the tuner first so nothing resizes the uploader pool or moves
-		// knobs while the stages wind down.
-		if j.tunerStop != nil {
-			close(j.tunerStop)
-			j.tunerWG.Wait()
-		}
 		j.pending.Wait()
 		close(j.convCh)
 		j.convWG.Wait()
@@ -737,17 +529,12 @@ func (j *importJob) drainPipeline() {
 			close(ch)
 		}
 		j.writeWG.Wait()
-		j.upMu.Lock()
-		j.upClosed = true
-		j.upMu.Unlock()
 		close(j.uploadCh)
 		j.uploadWG.Wait()
-		if j.copyableCh != nil {
-			// Every upload has landed; closing the channel makes the
-			// scheduler sweep its remaining manifest as the barrier COPY.
-			close(j.copyableCh)
-			j.schedWG.Wait()
-		}
+		// Every upload has landed; closing the channel makes the scheduler
+		// sweep its remaining manifest as the barrier COPY.
+		close(j.copyableCh)
+		j.schedWG.Wait()
 	})
 }
 

@@ -26,10 +26,9 @@ type nodeMetrics struct {
 	creditWait, convertLat, rotateLat *obs.Histogram
 	uploadLat, linkLat                *obs.Histogram
 
-	// pipelined staging lane (incremental COPY scheduler + adaptive tuner)
-	copyBatches, copyReplays             *obs.Counter
-	tunerGrows, tunerShrinks, tunerHolds *obs.Counter
-	copyBatchFiles                       *obs.Histogram
+	// staging lane (incremental manifest COPY scheduler + recovery replays)
+	copyBatches, copyReplays *obs.Counter
+	copyBatchFiles           *obs.Histogram
 
 	// application (Beta DML with adaptive splitting)
 	rowsInserted, rowsUpdated, rowsDeleted *obs.Counter
@@ -114,13 +113,7 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	m.copyReplays = r.Counter("etlvirt_copy_batch_replays_total",
 		"Landed manifest batches re-COPYed while recovering a failed staging COPY.")
 	m.copyBatchFiles = r.Histogram("etlvirt_copy_batch_files",
-		"Files folded into one manifest COPY statement.", obs.SizeBuckets)
-	m.tunerGrows = r.Counter("etlvirt_import_tuner_grow_total",
-		"Staging-lane tuner decisions growing the uploader pool.")
-	m.tunerShrinks = r.Counter("etlvirt_import_tuner_shrink_total",
-		"Staging-lane tuner decisions shrinking the uploader pool.")
-	m.tunerHolds = r.Counter("etlvirt_import_tuner_hold_total",
-		"Staging-lane tuner decisions holding the uploader pool size.")
+		"Files folded into one manifest COPY statement.", obs.CountBuckets)
 	m.linkLat = r.Histogram("etlvirt_link_transfer_seconds",
 		"Simulated cloud-link transfer time per object.", nil)
 
@@ -154,7 +147,7 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	m.streamShrinks = r.Counter("etlvirt_stream_ctrl_shrink_total", "Adaptive controller decisions shrinking the micro-batch.")
 	m.streamHolds = r.Counter("etlvirt_stream_ctrl_hold_total", "Adaptive controller decisions holding the micro-batch size.")
 	m.streamBatchRows = r.Histogram("etlvirt_stream_batch_rows",
-		"Records per committed streaming micro-batch.", obs.SizeBuckets)
+		"Records per committed streaming micro-batch.", obs.CountBuckets)
 	m.streamCommitLat = r.Histogram("etlvirt_stream_commit_seconds",
 		"End-to-end micro-batch commit latency (first buffered delta to watermark advance).", nil)
 	m.streamStageFrame = r.Histogram("etlvirt_stream_frame_recv_seconds",

@@ -56,6 +56,8 @@ type streamJob struct {
 
 	upsStage sqlparse.TableName // staged insert/update images
 	delStage sqlparse.TableName // staged delete images
+	upsLane  *stagingLane       // lands upsStage
+	delLane  *stagingLane       // lands delStage
 	ckpt     sqlparse.TableName // durable watermark table (shared, one row per stream)
 	etName   sqlparse.TableName
 	tr       *sqlxlate.Translator
@@ -79,8 +81,8 @@ type streamJob struct {
 	credits          credit.Batch
 	upsCSV, delCSV   []byte //etlvirt:owns
 	upsRows, delRows int
-	upsFiles         int // spool objects rotated out for this batch
-	delFiles         int
+	upsNames         []string // spool objects uploaded for this batch, relative to keyPfx
+	delNames         []string
 	runs             []opRun
 	dataErrs         []convert.DataError
 	batchLo, batchHi int64 // fresh delta range buffered; batchLo == 0 means empty
@@ -272,6 +274,14 @@ func (n *Node) newStreamJob(m *wire.BeginStream, tc obs.TraceContext) (*streamJo
 	j.hintLive.Store(int64(j.ctrl.Hint().BatchRows))
 	n.nm.streamsOpened.Inc()
 	j.trace = n.tracer.StartCtx(id, "stream "+m.Name, tc)
+	j.upsLane, err = newStagingLane(n, j.trace, "stream", j.upsStage, m.Layout, j.keyPfx)
+	if err == nil {
+		j.delLane, err = newStagingLane(n, j.trace, "stream", j.delStage, m.Layout, j.keyPfx)
+	}
+	if err != nil {
+		n.tracer.Finish(id)
+		return nil, err
+	}
 	n.events.Add(obs.Event{
 		Type: "stream_open", Job: id, TraceID: j.traceID(), Msg: m.Name,
 		Attrs: map[string]any{
@@ -379,7 +389,7 @@ func (j *streamJob) handleFrame(m *wire.DeltaFrame) (*wire.DeltaAck, error) {
 
 	// Cut the batch when it reaches the controller's row target, or when
 	// spool rotation has already produced the COPY fan-in it wants.
-	if j.upsRows+j.delRows >= hint.BatchRows || j.upsFiles+j.delFiles >= hint.CopyFiles {
+	if j.upsRows+j.delRows >= hint.BatchRows || len(j.upsNames)+len(j.delNames) >= hint.CopyFiles {
 		if err := j.commitBatch(); err != nil {
 			return nil, err
 		}
@@ -436,101 +446,61 @@ func (j *streamJob) bufferDelta(op stream.Op, rec []byte, seq int64, spoolBytes 
 	// Rotate the spool once it crosses the controller's threshold so one
 	// oversized batch never buffers unbounded CSV.
 	if len(*dst) >= spoolBytes {
-		kind := "ups"
-		files := &j.upsFiles
-		if op == stream.OpDelete {
-			kind = "del"
-			files = &j.delFiles
-		}
-		if err := j.uploadSpool(kind, *dst, *files); err != nil {
+		if err := j.flushSpool(del); err != nil {
 			return err
 		}
-		*files++
-		*dst = (*dst)[:0]
 	}
 	return nil
 }
 
-// uploadSpool puts one rotated spool object under the batch's prefix. Puts
-// are idempotent (same key, same bytes), so transient store failures retry
-// whole-object.
-func (j *streamJob) uploadSpool(kind string, csv []byte, fileNo int) error {
-	key := fmt.Sprintf("%sb%d/%s/%06d", j.keyPfx, j.batchNo, kind, fileNo)
+// flushSpool uploads one half's spool buffer as the batch's next object,
+// named relative to keyPfx (b<batch>/ups/000000, ...), and empties the
+// buffer.
+func (j *streamJob) flushSpool(del bool) error {
+	lane, kind, csv, names := j.upsLane, "ups", &j.upsCSV, &j.upsNames
+	if del {
+		lane, kind, csv, names = j.delLane, "del", &j.delCSV, &j.delNames
+	}
+	name := fmt.Sprintf("b%d/%s/%06d", j.batchNo, kind, len(*names))
+	data := *csv
 	upStart := time.Now()
-	var n int64
-	err := j.node.retry.Do(j.node.ctx, "upload", func() error {
-		var uerr error
-		n, uerr = j.node.loader.UploadBytes(csv, key)
-		return uerr
+	n, err := lane.upload(name, func(key string) (int64, error) {
+		return j.node.loader.UploadBytes(data, key)
 	})
 	nm := j.node.nm
 	j.stageAcc.Upload += time.Since(upStart)
 	nm.uploadLat.ObserveDuration(time.Since(upStart))
 	j.trace.Span("upload", "stream", upStart, 0, n, err)
 	if err != nil {
-		return fmt.Errorf("uploading stream spool %s: %w", key, err)
+		return fmt.Errorf("uploading stream spool %s: %w", j.keyPfx+name, err)
 	}
 	nm.filesUploaded.Inc()
 	nm.bytesUploaded.Add(n)
+	*names = append(*names, name)
+	*csv = data[:0]
 	return nil
 }
 
-// copyStage recreates a staging table and COPYs the batch's spool objects
-// into it. Recreate-then-COPY on every attempt is the batch's recovery
-// point: a replayed batch after a crash (and an engine-side COPY failure
-// mid-batch) both rebuild identical staging state from the durable objects.
-func (j *streamJob) copyStage(stage sqlparse.TableName, prefix string, want int64) error {
-	ddl, err := sqlxlate.StagingDDL(stage, j.req.Layout)
-	if err != nil {
+// stageBatch rebuilds one staging table from exactly this batch's spool
+// objects. Reset-then-COPY is the batch's recovery point: a batch replayed
+// after a crash rebuilds identical staging state from the durable objects,
+// and the manifest keeps any other object under the prefix out.
+func (j *streamJob) stageBatch(lane *stagingLane, names []string, want int) error {
+	start := time.Now()
+	defer func() { j.stageAcc.Copy += time.Since(start) }()
+	if err := lane.reset(); err != nil {
 		return err
 	}
-	copyStmt := &sqlparse.CopyStmt{
-		Table:   stage,
-		From:    "store://" + prefix,
-		Options: map[string]string{"format": "csv", "order": sqlxlate.SeqColumn},
-	}
-	copySQL, err := sqlparse.Print(copyStmt, sqlparse.DialectCDW)
-	if err != nil {
-		return err
-	}
-	nm := j.node.nm
-	attempt := 0
-	r := *j.node.retry // shares Budget/observers; only Retryable differs
-	r.Retryable = func(err error) bool {
-		if retrier.IsTransient(err) {
-			return true
-		}
-		var ce *cdw.Error
-		return errors.As(err, &ce) && ce.Code == cdw.CodeCopyFailed
-	}
-	stageStart := time.Now()
-	defer func() { j.stageAcc.Copy += time.Since(stageStart) }()
-	return r.Do(j.node.ctx, "stream_copy", func() error { //nolint:retrysafe // each attempt recreates the staging table first
-		attempt++
-		if attempt > 1 {
-			nm.copyRecoveries.Inc()
-		}
-		if _, err := j.node.pool.ExecT(dropIfExists(stage), j.trace.ChildContext()); err != nil {
-			return err
-		}
-		if _, err := j.node.pool.ExecT(ddl, j.trace.ChildContext()); err != nil {
-			return err
-		}
-		if want == 0 {
-			return nil
-		}
-		copyStart := time.Now()
-		staged, err := j.node.pool.ExecT(copySQL, j.trace.ChildContext())
-		nm.copyStatements.Inc()
-		j.trace.Span("copy", "stream", copyStart, staged, 0, err)
-		if err != nil {
-			return err
-		}
-		if staged != want {
-			return fmt.Errorf("stream staging %s holds %d rows, want %d", stage.Name, staged, want)
-		}
+	if len(names) == 0 {
 		return nil
-	})
+	}
+	if err := lane.copy(names); err != nil {
+		return err
+	}
+	if lane.staged != int64(want) {
+		return fmt.Errorf("stream staging %s holds %d rows, want %d", lane.table.Name, lane.staged, want)
+	}
+	return nil
 }
 
 // commitBatch drives one micro-batch through stage -> apply -> checkpoint.
@@ -550,24 +520,20 @@ func (j *streamJob) commitBatch() error {
 
 	// Flush spool remainders for both halves.
 	if len(j.upsCSV) > 0 {
-		if err := j.uploadSpool("ups", j.upsCSV, j.upsFiles); err != nil {
+		if err := j.flushSpool(false); err != nil {
 			return err
 		}
-		j.upsFiles++
-		j.upsCSV = j.upsCSV[:0]
 	}
 	if len(j.delCSV) > 0 {
-		if err := j.uploadSpool("del", j.delCSV, j.delFiles); err != nil {
+		if err := j.flushSpool(true); err != nil {
 			return err
 		}
-		j.delFiles++
-		j.delCSV = j.delCSV[:0]
 	}
 
-	if err := j.copyStage(j.upsStage, fmt.Sprintf("%sb%d/ups/", j.keyPfx, j.batchNo), int64(j.upsRows)); err != nil {
+	if err := j.stageBatch(j.upsLane, j.upsNames, j.upsRows); err != nil {
 		return err
 	}
-	if err := j.copyStage(j.delStage, fmt.Sprintf("%sb%d/del/", j.keyPfx, j.batchNo), int64(j.delRows)); err != nil {
+	if err := j.stageBatch(j.delLane, j.delNames, j.delRows); err != nil {
 		return err
 	}
 
@@ -680,7 +646,9 @@ func (j *streamJob) commitBatch() error {
 
 	j.batchLo, j.batchHi = 0, 0
 	j.upsRows, j.delRows = 0, 0
-	j.upsFiles, j.delFiles = 0, 0
+	// The lanes' landed logs keep this batch's manifests until their next
+	// reset, so the next batch starts fresh name slices.
+	j.upsNames, j.delNames = nil, nil
 	j.batchBytes = 0
 	j.runs = j.runs[:0]
 	j.dataErrs = j.dataErrs[:0]

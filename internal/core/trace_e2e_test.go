@@ -553,6 +553,23 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	if histFamilies < 10 {
 		t.Errorf("only %d histogram families parsed", histFamilies)
 	}
+	// Count histograms expose the power-of-two count layout and saw the
+	// import's manifests and the stream's micro-batches.
+	for _, fam := range []string{"etlvirt_copy_batch_files", "etlvirt_stream_batch_rows"} {
+		bks := buckets[fam]
+		if len(bks) != len(obs.CountBuckets)+1 {
+			t.Errorf("%s: %d buckets, want the %d count bounds plus +Inf", fam, len(bks), len(obs.CountBuckets))
+			continue
+		}
+		for i, le := range obs.CountBuckets {
+			if bks[i].le != le {
+				t.Errorf("%s: bucket %d le=%v, want %v", fam, i, bks[i].le, le)
+			}
+		}
+		if counts[fam] == 0 {
+			t.Errorf("%s: no observations", fam)
+		}
+	}
 
 	// The traced import left exemplars behind the opt-in query parameter.
 	_, exemplars := httpGet(t, dbgAddr, "/metrics?exemplars=1")

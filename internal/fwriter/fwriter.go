@@ -132,7 +132,6 @@ type Writer struct {
 	seq     int
 	cur     io.WriteCloser
 	gz      *gzip.Writer
-	gzLevel int // level of the gz writer currently checked out of its pool
 	curName string
 	curRaw  int
 	curComp *countWriter
@@ -232,32 +231,10 @@ func (w *Writer) open() error {
 	w.curComp = &countWriter{w: f}
 	if w.cfg.Gzip {
 		w.gz = getGzip(w.cfg.GzipLevel)
-		w.gzLevel = w.cfg.GzipLevel
 		w.gz.Reset(w.curComp)
 	}
 	return nil
 }
-
-// SetSizeThreshold retunes the rotation threshold. Values below 1 are
-// ignored. The in-progress file rotates against the new threshold on its
-// next Write, so a shrink takes effect without waiting for a rotation.
-func (w *Writer) SetSizeThreshold(n int) {
-	if n >= 1 {
-		w.cfg.SizeThreshold = n
-	}
-}
-
-// SetGzip retunes compression. The change applies from the next opened file:
-// the in-progress file keeps the codec and level it was opened with, since a
-// file's .gz suffix (and the loader's decompression decision) is fixed at
-// open time.
-func (w *Writer) SetGzip(enabled bool, level int) {
-	w.cfg.Gzip = enabled
-	w.cfg.GzipLevel = level
-}
-
-// SizeThreshold reports the current rotation threshold.
-func (w *Writer) SizeThreshold() int { return w.cfg.SizeThreshold }
 
 func (w *Writer) rotate() error {
 	if w.cur == nil {
@@ -268,7 +245,7 @@ func (w *Writer) rotate() error {
 		if err := w.gz.Close(); err != nil {
 			return fmt.Errorf("fwriter: finalizing %s: %w", w.curName, err)
 		}
-		putGzip(w.gzLevel, w.gz)
+		putGzip(w.cfg.GzipLevel, w.gz)
 		w.gz = nil
 	}
 	if err := w.cur.Close(); err != nil {
@@ -300,7 +277,7 @@ func (w *Writer) Flush() ([]FinishedFile, error) {
 		// empty open file: discard
 		if w.gz != nil {
 			w.gz.Close()
-			putGzip(w.gzLevel, w.gz)
+			putGzip(w.cfg.GzipLevel, w.gz)
 			w.gz = nil
 		}
 		w.cur.Close()

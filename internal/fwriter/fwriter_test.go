@@ -113,76 +113,25 @@ func TestWriterGzipLevels(t *testing.T) {
 }
 
 func TestWriterPoolReuseAcrossLevels(t *testing.T) {
-	// Rotating at one level, retuning, and rotating again must not hand back
-	// a pooled writer stuck at the old level: a level-9 file of repetitive
+	// A writer at one level must not be handed a pooled compressor another
+	// writer released at a different level: a level-9 file of repetitive
 	// text is measurably smaller than the same payload at level 1.
 	payload := bytes.Repeat([]byte("abcdefgh,12345678,abcdefgh\n"), 4000)
-	fs := NewMemFS()
-	w := NewWriter(fs, Config{SizeThreshold: 1 << 24, Gzip: true, GzipLevel: gzip.BestSpeed})
-	w.Write(payload, 4000)
-	first, err := w.Flush()
-	if err != nil || len(first) != 1 {
-		t.Fatalf("first flush: %+v %v", first, err)
+	flushAt := func(level int) FinishedFile {
+		t.Helper()
+		w := NewWriter(NewMemFS(), Config{SizeThreshold: 1 << 24, Gzip: true, GzipLevel: level})
+		w.Write(payload, 4000)
+		files, err := w.Flush()
+		if err != nil || len(files) != 1 {
+			t.Fatalf("level %d flush: %+v %v", level, files, err)
+		}
+		return files[0]
 	}
-	w.SetGzip(true, gzip.BestCompression)
-	w.Write(payload, 4000)
-	second, err := w.Flush()
-	if err != nil || len(second) != 1 {
-		t.Fatalf("second flush: %+v %v", second, err)
-	}
-	if second[0].Bytes >= first[0].Bytes {
-		t.Errorf("retuned level ignored: level-9 file %d bytes vs level-1 file %d bytes",
-			second[0].Bytes, first[0].Bytes)
-	}
-}
-
-func TestWriterSetGzipAppliesAtNextOpen(t *testing.T) {
-	fs := NewMemFS()
-	w := NewWriter(fs, Config{SizeThreshold: 1 << 20})
-	w.Write([]byte("plain\n"), 1) // opens an uncompressed file
-	w.SetGzip(true, gzip.BestSpeed)
-	w.Write([]byte("still plain\n"), 1) // same open file: codec fixed at open
-	files, err := w.Flush()
-	if err != nil || len(files) != 1 {
-		t.Fatalf("flush: %+v %v", files, err)
-	}
-	if strings.HasSuffix(files[0].Name, ".gz") {
-		t.Errorf("in-progress file switched codec: %q", files[0].Name)
-	}
-	w.Write([]byte("compressed\n"), 1)
-	files, err = w.Flush()
-	if err != nil || len(files) != 1 {
-		t.Fatalf("second flush: %+v %v", files, err)
-	}
-	if !strings.HasSuffix(files[0].Name, ".csv.gz") {
-		t.Errorf("next file not compressed: %q", files[0].Name)
-	}
-	data, _ := fs.Bytes(files[0].Name)
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := io.ReadAll(zr)
-	if string(out) != "compressed\n" {
-		t.Errorf("content %q", out)
-	}
-}
-
-func TestWriterSetSizeThreshold(t *testing.T) {
-	fs := NewMemFS()
-	w := NewWriter(fs, Config{SizeThreshold: 1 << 20})
-	w.Write(bytes.Repeat([]byte("x"), 100), 1)
-	w.SetSizeThreshold(64) // shrink below what is already buffered
-	if got := w.SizeThreshold(); got != 64 {
-		t.Fatalf("SizeThreshold() = %d", got)
-	}
-	w.Write([]byte("y"), 1) // next write rotates against the new threshold
-	if got := w.TakeFinished(); len(got) != 1 {
-		t.Errorf("shrunk threshold did not rotate: %+v", got)
-	}
-	w.SetSizeThreshold(0) // ignored
-	if got := w.SizeThreshold(); got != 64 {
-		t.Errorf("invalid threshold accepted: %d", got)
+	first := flushAt(gzip.BestSpeed)
+	second := flushAt(gzip.BestCompression)
+	if second.Bytes >= first.Bytes {
+		t.Errorf("pooled writer kept the old level: level-9 file %d bytes vs level-1 file %d bytes",
+			second.Bytes, first.Bytes)
 	}
 }
 

@@ -139,10 +139,11 @@ var DurationBuckets = []float64{
 // depth or retry counts.
 var DepthBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
-// SizeBuckets suits byte sizes from 1 KiB to 256 MiB.
-var SizeBuckets = []float64{
-	1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
-	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20,
+// CountBuckets suits item counts such as files per COPY manifest or records
+// per micro-batch: powers of two from 1 to 65536.
+var CountBuckets = []float64{
+	1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024,
+	2048, 4096, 8192, 16384, 32768, 65536,
 }
 
 // LabeledValue is one series of a labeled gauge family: the label value and

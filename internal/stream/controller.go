@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"time"
-
-	"etlvirt/internal/tune"
-)
+import "time"
 
 // Config tunes the adaptive controller. Zero values select defaults.
 type Config struct {
@@ -78,18 +74,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Action classifies a controller decision. It is the shared tune.Action so
-// decisions from the streaming controller and the import-lane tuner read the
-// same everywhere they are counted or labeled.
-type Action = tune.Action
-
-// Controller decisions: hold the current batch size, grow it, or shrink it.
-const (
-	ActionHold   = tune.ActionHold
-	ActionGrow   = tune.ActionGrow
-	ActionShrink = tune.ActionShrink
-)
-
 // Decision is the controller's current preferred micro-batch geometry.
 type Decision struct {
 	Action     Action
@@ -135,7 +119,7 @@ type Stats struct {
 // feeds it to Observe, which returns the geometry for the next batch. It is
 // not safe for concurrent use; the streaming job serializes batch commits.
 //
-// The control law is tune.StepToTarget — a damped multiplicative-adjust
+// The control law is stepToTarget — a damped multiplicative-adjust
 // loop: smoothed latency outside the deadband moves the batch size by the
 // ratio target/latency, clamped to [1/2, 3/2] per step so a single outlier
 // cannot collapse or explode the batch, then clamped to [MinBatch,
@@ -147,10 +131,10 @@ type Controller struct {
 	cfg Config
 
 	batch       int
-	lat         tune.EWMA // smoothed commit latency, seconds
-	bytesPerRow tune.EWMA // smoothed record width
+	lat         ewma // smoothed commit latency, seconds
+	bytesPerRow ewma // smoothed record width
 
-	stageSec    [len(stageNames)]tune.EWMA // smoothed per-stage latency, seconds
+	stageSec    [len(stageNames)]ewma // smoothed per-stage latency, seconds
 	stageSeeded bool
 
 	stats Stats
@@ -193,7 +177,7 @@ func (c *Controller) StageEWMA() map[string]time.Duration {
 	}
 	out := make(map[string]time.Duration, len(stageNames))
 	for i, name := range stageNames {
-		out[name] = time.Duration(c.stageSec[i].Value() * float64(time.Second))
+		out[name] = time.Duration(c.stageSec[i].value() * float64(time.Second))
 	}
 	return out
 }
@@ -205,8 +189,8 @@ func (c *Controller) dominant() string {
 	}
 	best, bestSec := "", 0.0
 	for i, name := range stageNames {
-		if c.stageSec[i].Value() > bestSec {
-			best, bestSec = name, c.stageSec[i].Value()
+		if c.stageSec[i].value() > bestSec {
+			best, bestSec = name, c.stageSec[i].value()
 		}
 	}
 	return best
@@ -219,7 +203,7 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 	if st != (Stages{}) {
 		sec := st.seconds()
 		for i := range sec {
-			c.stageSec[i].Observe(c.cfg.Alpha, sec[i])
+			c.stageSec[i].observe(c.cfg.Alpha, sec[i])
 		}
 		c.stageSeeded = true
 	}
@@ -229,13 +213,13 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 		c.stats.Holds++
 		return d
 	}
-	smoothed := c.lat.Observe(c.cfg.Alpha, latency.Seconds())
-	if width := float64(bytes) / float64(rows); !c.bytesPerRow.Seeded() || bytes > 0 {
-		c.bytesPerRow.Observe(c.cfg.Alpha, width)
+	smoothed := c.lat.observe(c.cfg.Alpha, latency.Seconds())
+	if width := float64(bytes) / float64(rows); !c.bytesPerRow.seeded || bytes > 0 {
+		c.bytesPerRow.observe(c.cfg.Alpha, width)
 	}
 
 	var action Action
-	c.batch, action = tune.StepToTarget(c.batch, smoothed, c.cfg.Target.Seconds(), c.cfg.Deadband,
+	c.batch, action = stepToTarget(c.batch, smoothed, c.cfg.Target.Seconds(), c.cfg.Deadband,
 		c.cfg.MinBatch, c.cfg.MaxBatch)
 	switch action {
 	case ActionGrow:
@@ -258,7 +242,7 @@ func (c *Controller) ObserveStages(rows, bytes int, latency time.Duration, st St
 // micro-batch in a single file when records are narrow, clamped so wide
 // records still rotate before unbounded buffering.
 func (c *Controller) spoolBytes() int {
-	width := c.bytesPerRow.Value()
+	width := c.bytesPerRow.value()
 	if width <= 0 {
 		width = 128 // prior before any observation
 	}
